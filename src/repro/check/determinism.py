@@ -6,19 +6,22 @@ seeded RNG — so re-running the same (program, manager, params, seed)
 must reproduce the event stream *bit for bit*.  The check works over a
 canonical digest:
 
-* :func:`event_stream_digest` hashes (SHA-256) the canonical JSON of
-  every event, **excluding** ``latency_ns`` and any negative ``seq``
-  placeholder — wall-clock latency is the one legitimately
-  non-deterministic field;
+* :class:`StreamDigest` hashes (SHA-256) the canonical JSON of every
+  event it is fed, **excluding** ``latency_ns`` and any negative
+  ``seq`` placeholder — wall-clock latency is the one legitimately
+  non-deterministic field.  It is the one implementation of the
+  stream hash: the parallel tasks, :func:`run_recorded`, the checker
+  and the replayer all feed one;
 * :func:`run_recorded` stores the digest in the manifest as
   ``event_digest``;
 * :class:`DeterminismChecker` recomputes the digest from the events it
   is fed and flags a mismatch against the manifest's recorded one
   (``digest-mismatch``) — which catches both a corrupted trace and a
   non-deterministic producer;
-* :func:`replay_digest` actually re-runs the recorded configuration and
-  returns the fresh digest, for the strongest form of the check
-  (``repro check --replay``).
+* :func:`replay` re-runs a recorded configuration — from the manifest's
+  task spec when it has one, so program options such as a seed are
+  honoured — and :func:`replay_digest` returns the fresh digest, for
+  the strongest form of the check (``repro check --replay``).
 """
 
 from __future__ import annotations
@@ -36,11 +39,16 @@ from .base import CheckContext, Checker
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..adversary.base import AdversaryProgram
     from ..core.params import BoundParams
+    from ..obs.events import EventSink
+    from ..parallel.tasks import SimTask
 
 __all__ = [
     "canonical_event_bytes",
+    "StreamDigest",
     "event_stream_digest",
     "DeterminismChecker",
+    "recorded_task",
+    "replay",
     "replay_digest",
 ]
 
@@ -120,11 +128,28 @@ def canonical_event_bytes(event: TelemetryEvent) -> bytes:
     return ("{" + ",".join(parts) + "}\n").encode()
 
 
+class StreamDigest:
+    """Bus sink computing the canonical stream digest incrementally."""
+
+    def __init__(self) -> None:
+        self._hasher = hashlib.sha256()
+        self.count = 0
+
+    def __call__(self, event: TelemetryEvent) -> None:
+        """Deliver one event (the bus-subscriber interface)."""
+        self._hasher.update(canonical_event_bytes(event))
+        self.count += 1
+
+    def hexdigest(self) -> str:
+        """The digest over everything fed so far."""
+        return self._hasher.hexdigest()
+
+
 def event_stream_digest(events: Iterable[TelemetryEvent]) -> str:
     """SHA-256 hex digest of a whole event stream's canonical form."""
-    digest = hashlib.sha256()
+    digest = StreamDigest()
     for event in events:
-        digest.update(canonical_event_bytes(event))
+        digest(event)
     return digest.hexdigest()
 
 
@@ -139,15 +164,15 @@ class DeterminismChecker(Checker):
 
     def __init__(self, context: CheckContext) -> None:
         super().__init__(context)
-        self._hasher = hashlib.sha256()
+        self._stream = StreamDigest()
         #: The computed hex digest (set at :meth:`finalize`).
         self.digest: str | None = None
 
     def feed(self, event: TelemetryEvent) -> None:
-        self._hasher.update(canonical_event_bytes(event))
+        self._stream(event)
 
     def finalize(self) -> None:
-        self.digest = self._hasher.hexdigest()
+        self.digest = self._stream.hexdigest()
         expected = self.context.expected_digest
         if expected is not None and self.digest != expected:
             self.report(
@@ -164,10 +189,11 @@ class DeterminismChecker(Checker):
 def _rebuild_program(name: str, params: "BoundParams") -> "AdversaryProgram | None":
     """A fresh program instance for a recorded run, by recorded name.
 
-    Returns None for program families this module cannot reconstruct
-    (custom programs recorded by library users).  All built-in programs
-    are deterministic with their default seeds, which is exactly what
-    the recording path uses.
+    The fallback for manifests without a task spec (``--telemetry``
+    runs).  Returns None for program families this module cannot
+    reconstruct (custom programs recorded by library users).  Such
+    runs always use the program's default options, which is exactly
+    what the ``--telemetry`` recording path uses.
 
     Manifests record the program's *display* name (``program.name``,
     e.g. ``"cohen-petrank-PF"``) rather than the catalog short key, so
@@ -185,40 +211,81 @@ def _rebuild_program(name: str, params: "BoundParams") -> "AdversaryProgram | No
     return factory(params)
 
 
+def recorded_task(manifest: Mapping[str, object]) -> "SimTask | None":
+    """The :class:`~repro.parallel.tasks.SimTask` a manifest records.
+
+    Every cache entry stores its simulation spec as ``config.task``;
+    ``--telemetry`` runs have none, and exact-solve records store a
+    solve spec (marked by its ``kind``), so both give None.
+    """
+    config = manifest.get("config")
+    spec = config.get("task") if isinstance(config, Mapping) else None
+    if not isinstance(spec, Mapping) or "kind" in spec:
+        return None
+    from ..parallel.tasks import SimTask
+
+    return SimTask.from_dict(spec)
+
+
+def replay(manifest: Mapping[str, object], sink: "EventSink") -> bool:
+    """Re-run a recorded configuration, delivering every event to ``sink``.
+
+    A manifest with a recorded task (every cache entry) is rebuilt from
+    that spec, program options included; anything else falls back to
+    the display-name lookup with default options.  Returns False
+    (running nothing) when the manifest names a program this module
+    cannot rebuild.  Raises ``ValueError`` on malformed parameters.
+    The occupancy backend is resolved from the environment, not the
+    recording, so a replay under another ``REPRO_KERNEL`` checks the
+    backends' digest parity.
+    """
+    from ..adversary.catalog import make_program
+    from ..adversary.driver import ExecutionDriver
+    from ..core.params import BoundParams
+    from ..mm.registry import create_manager
+    from ..obs.events import EventBus
+
+    task = recorded_task(manifest)
+    if task is not None:
+        params, manager_name = task.params, task.manager
+        program = make_program(task.program, params, **task.options_dict())
+    else:
+        raw_params = manifest.get("params")
+        program_name = manifest.get("program")
+        recorded_manager = manifest.get("manager")
+        if not isinstance(raw_params, Mapping) \
+                or not isinstance(program_name, str) \
+                or not isinstance(recorded_manager, str):
+            raise ValueError("manifest lacks params/program/manager")
+        manager_name = recorded_manager
+        divisor = raw_params.get("compaction_divisor")
+        params = BoundParams(
+            int(raw_params["live_space"]),  # type: ignore[index, call-overload]
+            int(raw_params["max_object"]),  # type: ignore[index, call-overload]
+            float(divisor) if isinstance(divisor, (int, float)) else None,
+        )
+        rebuilt = _rebuild_program(program_name, params)
+        if rebuilt is None:
+            return False
+        program = rebuilt
+
+    bus = EventBus()
+    bus.subscribe(sink)
+    if hasattr(program, "bus"):
+        program.bus = bus
+    driver = ExecutionDriver(params, create_manager(manager_name, params),
+                             observer=bus)
+    driver.run(program)
+    return True
+
+
 def replay_digest(manifest: Mapping[str, object]) -> str | None:
     """Re-run a recorded configuration; return the fresh stream digest.
 
     Returns None when the manifest names a program this module cannot
     rebuild.  Raises ``ValueError`` on malformed parameters.
     """
-    from ..core.params import BoundParams
-    from ..mm.registry import create_manager
-    from ..obs.events import EventBus
-
-    raw_params = manifest.get("params")
-    program_name = manifest.get("program")
-    manager_name = manifest.get("manager")
-    if not isinstance(raw_params, Mapping) or not isinstance(program_name, str) \
-            or not isinstance(manager_name, str):
-        raise ValueError("manifest lacks params/program/manager")
-    divisor = raw_params.get("compaction_divisor")
-    params = BoundParams(
-        int(raw_params["live_space"]),  # type: ignore[index, call-overload]
-        int(raw_params["max_object"]),  # type: ignore[index, call-overload]
-        float(divisor) if isinstance(divisor, (int, float)) else None,
-    )
-    program = _rebuild_program(program_name, params)
-    if program is None:
+    digest = StreamDigest()
+    if not replay(manifest, digest):
         return None
-
-    from ..adversary.driver import ExecutionDriver
-
-    bus = EventBus()
-    hasher = hashlib.sha256()
-    bus.subscribe(lambda event: hasher.update(canonical_event_bytes(event)))
-    if hasattr(program, "bus"):
-        program.bus = bus
-    driver = ExecutionDriver(params, create_manager(manager_name, params),
-                             observer=bus)
-    driver.run(program)
-    return hasher.hexdigest()
+    return digest.hexdigest()

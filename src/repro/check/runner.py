@@ -5,7 +5,9 @@ Offline — the static-analysis path (``repro check``):
 * :func:`check_run_directory` loads a recorded ``manifest.json`` /
   ``events.jsonl`` pair, builds the :class:`~repro.check.base.CheckContext`
   from the manifest, and replays every event through the full checker
-  set;
+  set.  A cache entry (a manifest with a task spec and no
+  ``events.jsonl``) is re-run instead, its live stream fed to the same
+  checkers against the manifest's recorded digest;
 * :func:`check_trace_file` does the same for a bare JSONL file with no
   manifest — parameter-dependent checks are skipped, structural ones
   (shadow heap, charge pairing, stage machine) still run.
@@ -28,7 +30,7 @@ from ..obs.events import TelemetryEvent
 from .base import CheckContext, Checker, CheckReport, InvariantViolationError
 from .budget_replay import BudgetReplayChecker
 from .density import DensityChecker, DensityObserver
-from .determinism import DeterminismChecker
+from .determinism import DeterminismChecker, recorded_task, replay
 from .program_model import ProgramModelChecker
 from .shadow_heap import ShadowHeapChecker
 
@@ -81,11 +83,25 @@ def check_run_directory(
     directory: _PathLike,
     checker_types: Sequence[Type[Checker]] = DEFAULT_CHECKERS,
 ) -> CheckReport:
-    """Offline-check a recorded run directory (manifest + events)."""
-    from ..obs.export import load_run
+    """Offline-check a recorded run directory (manifest + events).
+
+    Without ``events.jsonl`` but with a task spec in the manifest
+    (``config.task``, as every cache entry has), the task is rebuilt
+    and replayed through the checkers; the report's ``replayed`` note
+    says so, and a replay that diverges from the recorded
+    ``event_digest`` fails the determinism checker.
+    """
+    from ..obs.export import EVENTS_FILENAME, load_run
 
     run = load_run(directory)
     context = CheckContext.from_manifest(run.manifest)
+    if (not (run.directory / EVENTS_FILENAME).is_file()
+            and recorded_task(run.manifest) is not None):
+        sanitizer = Sanitizer(context, checker_types)
+        replay(run.manifest, sanitizer)
+        report = sanitizer.finish(raise_on_violation=False)
+        report.notes["replayed"] = "task spec (no events.jsonl)"
+        return report
     return run_checkers(run.events, context, checker_types)
 
 

@@ -15,7 +15,8 @@ Commands:
   into a directory (the scripted form of ``figure``);
 * ``check`` — static analysis of a recorded run: replay the event
   stream through the paper-invariant checkers (``--replay`` also
-  re-runs the configuration and compares stream digests);
+  re-runs the configuration and compares stream digests; a cache
+  entry, which keeps no stream, is re-run from its task spec);
 * ``report`` — render a recorded run directory (sparklines, the
   replayed waste trajectory and the stage-transition table);
 * ``trace`` — render or export a recorded span trace: Chrome
@@ -248,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="static analysis of a recorded run (paper-invariant sanitizer)",
     )
     check.add_argument("path", help="run directory written by --telemetry, "
+                                    "a cache entry (checked by replay), "
                                     "or a bare events.jsonl trace")
     check.add_argument("--replay", action="store_true",
                        help="additionally re-run the recorded configuration "
@@ -518,7 +520,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         from .obs.export import load_manifest
 
         manifest = load_manifest(path)
-        fresh = replay_digest(manifest)
+        # A cache entry was already replayed to be checked at all.
+        fresh = (report.notes["event_digest"] if "replayed" in report.notes
+                 else replay_digest(manifest))
         recorded = manifest.get("event_digest")
         if fresh is None:
             print("replay: skipped (program not reconstructible)")

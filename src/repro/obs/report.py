@@ -324,4 +324,10 @@ def render_run(run: RunData, *, width: int = 60, plot: bool = True) -> str:
     else:
         lines.append("")
         lines.append("events.jsonl missing or empty: headline numbers only")
+        config = manifest.get("config")
+        if isinstance(config, dict) and "cache_key" in config:
+            lines.append("(a cache entry keeps no event stream: `repro check` "
+                         "verifies it by replay; rerun the point with "
+                         "`repro simulate --telemetry DIR` for the full "
+                         "stream)")
     return "\n".join(lines)

@@ -7,7 +7,8 @@
 driver — a :class:`~repro.obs.sampler.HeapSampler` producing the time
 series.  :func:`run_recorded` is the one-call path the CLI and the
 experiment grids use: build telemetry, instrument driver + program, run,
-persist a ``manifest.json`` / ``events.jsonl`` pair.
+persist a ``manifest.json`` / ``events.jsonl`` pair (cache entries keep
+the manifest only; see :func:`repro.parallel.tasks.run_task`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .trace import TRACE_FILENAME, Tracer, active_tracer, write_trace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..adversary.base import AdversaryProgram
     from ..adversary.driver import ExecutionDriver, ExecutionResult
+    from ..check.determinism import StreamDigest
     from ..core.params import BoundParams
     from ..mm.base import MemoryManager
 
@@ -42,14 +44,6 @@ __all__ = [
 
 #: Default sampling cadence (bus events between heap snapshots).
 DEFAULT_SAMPLE_EVERY = 256
-
-
-def _stream_digest(writer: JsonlEventWriter) -> str:
-    """Canonical digest of the buffered stream (lazy import: obs must
-    not depend on check at module load)."""
-    from ..check.determinism import event_stream_digest
-
-    return event_stream_digest(writer.events)
 
 
 class Telemetry:
@@ -165,6 +159,8 @@ def run_recorded(
     extra_sinks=None,
     tracer: Tracer | None = None,
     kernel: str | None = None,
+    digest: "StreamDigest | None" = None,
+    events: bool = True,
 ) -> "ExecutionResult":
     """Run one fully instrumented execution and persist it.
 
@@ -182,11 +178,19 @@ def run_recorded(
     ``profile`` block is added to the manifest.  Spans are out-of-band:
     ``event_digest`` is identical with or without them.
 
-    The manifest records ``event_digest``, the canonical SHA-256 of the
-    emitted stream, so ``repro check`` can detect any later tampering
-    with ``events.jsonl`` and verify deterministic replays.
+    The manifest records ``event_digest`` and ``event_count``, the
+    canonical SHA-256 of the emitted stream and its length, so ``repro
+    check`` can detect any later tampering with ``events.jsonl`` and
+    verify deterministic replays.  ``digest`` is the
+    :class:`~repro.check.determinism.StreamDigest` sink they are read
+    from (a fresh one when None); a caller that needs the digest itself
+    passes its own so each event is hashed once.  ``events=False``
+    skips ``events.jsonl`` — no event is buffered — for runs that are
+    verified by replaying their task spec instead
+    (:func:`repro.parallel.tasks.run_task`).
     """
     from ..adversary.driver import ExecutionDriver  # avoid import cycle
+    from ..check.determinism import StreamDigest  # obs must not need check at load
     from .profile import profile_block
 
     target = Path(directory)
@@ -196,8 +200,12 @@ def run_recorded(
     trace_mark = live_tracer.mark() if live_tracer is not None else 0
 
     telemetry = Telemetry(sample_every=sample_every)
-    writer = JsonlEventWriter()
-    telemetry.bus.subscribe(writer)
+    if digest is None:
+        digest = StreamDigest()
+    telemetry.bus.subscribe(digest)
+    writer = JsonlEventWriter() if events else None
+    if writer is not None:
+        telemetry.bus.subscribe(writer)
     if extra_sinks is not None:
         for sink in extra_sinks:
             telemetry.bus.subscribe(sink)
@@ -225,7 +233,8 @@ def run_recorded(
         write_trace(target / TRACE_FILENAME, run_spans)
         profile = profile_block(run_spans, dropped=live_tracer.dropped)
 
-    writer.write(target / EVENTS_FILENAME)
+    if writer is not None:
+        writer.write(target / EVENTS_FILENAME)
     budget_snapshot = result.budget
     config = {"sample_every": sample_every, "record_trace": record_trace,
               "paranoid": paranoid, "trace": live_tracer is not None,
@@ -264,8 +273,8 @@ def run_recorded(
         samples=telemetry.samples_as_dicts(),
         wall_seconds=result.wall_seconds,
         events_per_second=result.events_per_second,
-        event_count=telemetry.bus.event_count,
-        event_digest=_stream_digest(writer),
+        event_count=digest.count,
+        event_digest=digest.hexdigest(),
         profile=profile,
     )
     write_manifest(target, manifest)

@@ -5,8 +5,7 @@ Layout of a cache directory::
     <cache_dir>/
       manifest.jsonl        # one line per *executed* simulation, appended
       <key>/                # one entry per distinct task
-        manifest.json       # standard run manifest (repro check works)
-        events.jsonl        # the run's full event stream
+        manifest.json       # run manifest: task spec, metrics, digest
         result.json         # TaskResult record (written last = complete)
 
 The key is :func:`task_digest`: SHA-256 over the canonical JSON of the
@@ -15,10 +14,12 @@ options) together with the code version — ``repro.__version__`` plus
 :data:`CACHE_SCHEMA` — so a release that changes simulator semantics
 invalidates every stale entry instead of replaying it.
 
-Because every entry doubles as a recorded run directory, ``repro check
-<cache_dir>/<key>`` re-verifies a cached point end to end (invariant
-checkers plus the stored ``event_digest``), and ``repro report``
-renders it.  The top-level ``manifest.jsonl`` counts real executions:
+Entries keep no ``events.jsonl``: runs are deterministic, so ``repro
+check <cache_dir>/<key>`` rebuilds the task from the manifest's
+``config.task`` and replays it through the invariant checkers against
+the stored ``event_digest``, and ``repro report`` renders the headline
+numbers.  ``repro simulate --telemetry DIR`` records a point's full
+stream.  The top-level ``manifest.jsonl`` counts real executions:
 a warm re-run of a grid leaves it untouched, which is exactly what the
 equivalence tests assert.
 """

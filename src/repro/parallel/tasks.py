@@ -25,12 +25,12 @@ from typing import Any, Mapping
 
 from ..adversary.catalog import make_program
 from ..adversary.driver import ExecutionResult, run_execution
-from ..check.determinism import canonical_event_bytes
+from ..check.determinism import StreamDigest
 from ..core.params import BoundParams
 from ..heap.metrics import HeapMetrics
 from ..mm.budget import BudgetSnapshot
 from ..mm.registry import create_manager
-from ..obs.events import EventBus, TelemetryEvent
+from ..obs.events import EventBus
 from ..obs.trace import Tracer
 
 __all__ = [
@@ -365,23 +365,6 @@ def run_solve_task(task: SolveTask, jobs: int = 1,
     )
 
 
-class StreamDigest:
-    """Bus sink computing the canonical stream digest incrementally."""
-
-    def __init__(self) -> None:
-        self._hasher = hashlib.sha256()
-        self.count = 0
-
-    def __call__(self, event: TelemetryEvent) -> None:
-        """Deliver one event (the bus-subscriber interface)."""
-        self._hasher.update(canonical_event_bytes(event))
-        self.count += 1
-
-    def hexdigest(self) -> str:
-        """The digest over everything fed so far."""
-        return self._hasher.hexdigest()
-
-
 def _result_from_execution(task: SimTask, result: ExecutionResult,
                            digest: StreamDigest) -> TaskResult:
     return TaskResult(
@@ -413,12 +396,18 @@ def run_task(task: SimTask, record_root: str | None = None,
     """Execute one task; the worker-process entry point.
 
     Every run gets its own :class:`~repro.obs.events.EventBus` with a
-    digest sink, so the canonical event digest is computed whether or
-    not the run is archived.  With ``record_root`` set, the run is
-    additionally persisted as a standard ``repro check``-able run
-    directory under ``<record_root>/<cache key>/`` (manifest.json +
-    events.jsonl) plus a ``result.json`` the cache reads back — written
-    last, so a directory with ``result.json`` is always complete.
+    :class:`StreamDigest` sink, so the canonical event digest is
+    computed whether or not the run is archived.  With ``record_root``
+    set, the run is additionally persisted under
+    ``<record_root>/<cache key>/`` as a ``manifest.json`` (metrics,
+    samples, task spec, and the digest and event count from that same
+    sink — each event is hashed once) plus a ``result.json`` the cache
+    reads back, written last, so a directory with ``result.json`` is
+    always complete.  No ``events.jsonl`` is archived: runs are
+    deterministic, so ``repro check <entry>`` rebuilds the task from the
+    manifest and replays it through the checkers against the recorded
+    digest.  ``repro simulate --telemetry`` is the route to a full
+    stream.
 
     With ``trace=True`` the execution runs under a private (coarse)
     :class:`~repro.obs.trace.Tracer`; the resulting span records travel
@@ -460,9 +449,10 @@ def run_task(task: SimTask, record_root: str | None = None,
     result = run_recorded(
         params, program, manager, target,
         extra_config={"task": task.to_dict(), "cache_key": key},
-        extra_sinks=[digest],
         tracer=tracer,
         kernel=task.kernel,
+        digest=digest,
+        events=False,
     )
     task_result = _finish_task(task, result, digest, tracer, task_span)
     payload = task_result.to_dict()

@@ -234,6 +234,42 @@ class TestDeterminism:
         rules = _feed(checker, self._events())
         assert rules == []
 
+    def test_fast_encoding_matches_defining_encoding(self, clean_run):
+        # The hand-assembled fast path must produce exactly the json.dumps
+        # bytes, over a real run's stream and the fallback value shapes.
+        from repro.check.determinism import (
+            _canonical_event_bytes_slow,
+            canonical_event_bytes,
+        )
+
+        odd = [
+            StageTransition(program='quote"back\\slash', stage="I",
+                            step=0, seq=0),
+            StageTransition(program="non-ascii \u00e9", stage="II", step=1,
+                            seq=1),
+            BudgetCharge(reason="move", words=3, remaining=float("inf"),
+                         seq=2),
+            BudgetCharge(reason="move", words=3, remaining=0.1 + 0.2, seq=3),
+        ]
+        events = list(clean_run.events) + odd
+        assert {type(event) for event in clean_run.events} >= {
+            Alloc, Free, Move, CompactionWindow, StageTransition,
+            BudgetCharge}
+        for event in events:
+            assert canonical_event_bytes(event) == \
+                _canonical_event_bytes_slow(event)
+
+    def test_one_stream_digest_class(self):
+        from repro.check.determinism import StreamDigest
+        from repro.parallel import tasks
+
+        assert tasks.StreamDigest is StreamDigest
+        digest = StreamDigest()
+        for event in self._events():
+            digest(event)
+        assert digest.count == 2
+        assert digest.hexdigest() == event_stream_digest(self._events())
+
 
 class TestRunCheckers:
     def test_report_carries_digest_note_and_order(self):

@@ -79,6 +79,22 @@ def test_replay_digest_reproduces_the_run(clean_run):
     assert digest == clean_run.manifest["event_digest"]
 
 
+def test_replay_honours_program_options(tmp_path):
+    """A cache entry for a seeded program replays with its own seed."""
+    from repro.obs.export import load_manifest
+    from repro.parallel import SimTask, run_task
+
+    params = BoundParams(1024, 64, 20.0)
+    seeded = SimTask.build(params, "first-fit", "churn", seed=7)
+    recorded = run_task(seeded, record_root=str(tmp_path))
+    manifest = load_manifest(next(tmp_path.iterdir()))
+    assert replay_digest(manifest) == recorded.event_digest \
+        == manifest["event_digest"]
+    # The option matters: the default-seed stream differs.
+    default = run_task(SimTask.build(params, "first-fit", "churn"))
+    assert default.event_digest != recorded.event_digest
+
+
 def test_same_seed_same_digest():
     """The determinism contract itself: two fresh executions, one digest."""
     streams = []
