@@ -29,8 +29,11 @@ Commands:
   lint rules), gated by the committed baseline;
 * ``exact`` — solve the micro-heap game exactly (optionally budgeted);
 * ``solve`` — the scaled exact solver with probe detail: canonical
-  orbits, transposition tables, bracketed search, ``--jobs`` frontier
-  fan-out, result caching and ``solver.*`` manifest counters;
+  orbits, transposition tables, bracketed search, result caching and
+  ``solver.*`` manifest counters.  A solve runs in one process;
+  ``--jobs`` is accepted and ignored, because a per-epoch worker pool
+  doubled the solve's wall time (pickling candidates back cost more
+  than generating them);
 * ``absolute`` — the Theorem-1 corollary for B-bounded managers;
 * ``verify`` — re-run every reproduction check in one pass;
 * ``managers`` / ``programs`` — list what is available.
@@ -100,10 +103,19 @@ def _add_param_flags(parser: argparse.ArgumentParser, *, default_live: int,
     )
 
 
+def _jobs_count(text: str) -> int:
+    """Argparse ``type`` shared by every ``--jobs``: N >= 0, 0 = all cores."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"need an integer N >= 0 (0 = all available cores), "
+            f"got {text!r}")
+    return int(text)
+
+
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     """``--jobs`` / ``--cache-dir``: the parallel-engine knobs."""
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_jobs_count, default=1, metavar="N",
         help="worker processes for the simulation grid (default 1; "
              "0 = all available cores)",
     )
@@ -322,10 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     staticcheck.add_argument("--max-findings", type=int, default=100,
                              help="findings to print before eliding "
                                   "(text format, default 100)")
-    staticcheck.add_argument("--jobs", type=int, default=1, metavar="N",
+    staticcheck.add_argument("--jobs", type=_jobs_count, default=1,
+                             metavar="N",
                              help="worker processes for the module-rule "
-                                  "tier (default 1; output is byte-"
-                                  "identical across values)")
+                                  "tier (default 1; 0 = all available "
+                                  "cores; output is byte-identical "
+                                  "across values)")
     staticcheck.add_argument("--cache-dir", metavar="DIR", default=None,
                              help="incremental cache directory: unchanged "
                                   "modules reuse their cached findings, so "
@@ -342,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = commands.add_parser(
         "solve",
         help="scaled exact-game solver (canonical orbits, transposition "
-             "tables, bracketed search, parallel frontier)",
+             "tables, bracketed search; runs in one process)",
     )
     solve.add_argument("--live", type=int, default=8,
                        help="live-space bound M in words (default 8)")
@@ -356,9 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default="auto",
                        help="heap-size search strategy (default auto: "
                             "formula-seeded bracket)")
-    solve.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for frontier expansion "
-                            "(default 1; 0 = all available cores)")
+    solve.add_argument("--jobs", type=_jobs_count, default=1, metavar="N",
+                       help="accepted for compatibility and ignored: a "
+                            "solve runs in one process, since worker "
+                            "pools cost more than they saved")
     solve.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="on-disk result cache; repeated solves replay "
                             "the stored value")
@@ -747,6 +762,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def _cmd_staticcheck(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from .parallel.engine import default_jobs
     from .staticcheck import rule_catalog, render_text, to_json, to_sarif
     from .staticcheck.baseline import (DEFAULT_BASELINE_NAME,
                                        UNJUSTIFIED_PLACEHOLDER, Baseline)
@@ -786,7 +802,7 @@ def _cmd_staticcheck(args: argparse.Namespace) -> int:
                 extra = f" (reports: {ids})" if ids else ""
                 print(f"  {spec.name}{extra}", file=sys.stderr)
             return 2
-    jobs = max(1, args.jobs)
+    jobs = args.jobs if args.jobs > 0 else default_jobs()
     cache_dir = Path(args.cache_dir) if args.cache_dir else None
     baseline_path = (Path(args.baseline) if args.baseline
                      else root / DEFAULT_BASELINE_NAME)
@@ -874,7 +890,6 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     from .parallel.cache import RESULT_FILENAME, ResultCache
-    from .parallel.engine import default_jobs
     from .parallel.tasks import (
         SolveResult,
         SolveTask,
@@ -882,7 +897,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         run_solve_task,
     )
 
-    jobs = args.jobs if args.jobs > 0 else default_jobs()
     task = SolveTask(
         live_bound=args.live,
         max_object=args.object,
@@ -893,7 +907,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
              if args.cache_dir is not None else None)
     result = cache.get(task) if cache is not None else None
     if result is None:
-        result = run_solve_task(task, jobs=jobs, search=args.search)
+        result = run_solve_task(task, search=args.search)
         if cache is not None:
             entry = cache.entry_dir(task)
             entry.mkdir(parents=True, exist_ok=True)
@@ -905,7 +919,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     family = f"sizes 1..{args.object}" if args.all_sizes else "P2 sizes"
     budget_note = (f", B={args.budget}" if args.budget is not None else "")
-    source = "cache" if result.from_cache else f"solved, jobs={jobs}"
+    source = "cache" if result.from_cache else "solved"
     print(f"exact minimum heap for M={args.live}, n={args.object}"
           f"{budget_note} ({family}): {result.minimum_heap_words} words "
           f"[{source}, {result.wall_seconds:.3f}s]")
@@ -937,8 +951,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             manager="game-solver",
             params={"live_space": args.live, "max_object": args.object,
                     "compaction_divisor": None},
-            config={"task": task.to_dict(), "search": args.search,
-                    "jobs": jobs},
+            config={"task": task.to_dict(), "search": args.search},
             result={"minimum_heap_words": result.minimum_heap_words,
                     "probes": [list(pair) for pair in result.probes],
                     "from_cache": result.from_cache},

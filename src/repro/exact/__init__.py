@@ -5,7 +5,9 @@ The paper's model is a program-vs-manager game; this package solves it
 graph), giving ground truth that anchors the analytic bounds — see
 :mod:`repro.exact.game` for the model and
 :mod:`repro.exact.solver` for the scaled engine (canonical orbits,
-transposition tables, bracketed search, parallel frontier).
+transposition tables, bracketed search).  A solve runs in the calling
+process: fanning its frontier out to worker processes cost more in
+pickling than the successor generation it moved.
 """
 
 from .adversary import ExactAdversaryProgram, solve_program_strategy

@@ -39,12 +39,16 @@ transposition tables.  The seeded-region idea from the roadmap is
 realized by these tables: safe regions flow up the walk, winning
 regions flow down.
 
-**Parallel frontier.**  Exploration is level-synchronous BFS; each
-epoch's frontier can be sharded by a mix of the canonical code and
-fanned out through :meth:`repro.parallel.engine.ParallelEngine.map`.
-Workers only *generate* successor candidates; the parent consumes them
-in frontier order, so interning, pruning and truncation decisions are
-taken identically at every ``--jobs`` value.
+**One process.**  Exploration is level-synchronous BFS in the calling
+process.  The base game runs a fused generate-and-consume loop;
+budgeted games generate each node's candidates with
+:func:`_node_candidates` and consume them in frontier order.  A
+process pool does not pay for itself here: workers could only generate
+candidates while the parent still interned every one, and pickling the
+lists back cost more than generating them.  Measured at (8,4) on a
+2-core host, 27 per-epoch pools took 1.34 s of a 2.08 s solve, and the
+widest epoch (7,582 nodes) spent 0.165 s in the pool against about
+0.13 s (17 µs an orbit) in process.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ import time
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .canonical import (
     ADDRESS_BITS,
@@ -64,9 +67,6 @@ from .canonical import (
     encode_state,
 )
 from .game import State
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..parallel.engine import ParallelEngine
 
 __all__ = [
     "GameSolver",
@@ -140,7 +140,7 @@ def _numpy_csr_enabled() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Successor generation (shared by the serial path and pool workers)
+# Successor generation (budgeted games; the base game fuses it inline)
 # ---------------------------------------------------------------------------
 
 def _node_candidates(
@@ -161,9 +161,8 @@ def _node_candidates(
 
     Returns a flat list alternating ``successor_key,
     other_orientation_state_code`` (flat to spare a tuple allocation
-    per successor).  Pure function of its arguments, so pool workers
-    and the in-process path are interchangeable; duplicates are *not*
-    removed here (the parent dedupes while interning).
+    per successor).  Pure function of its arguments; duplicates are
+    *not* removed here (the solver dedupes while interning).
     """
     if move_budget is None:
         state_shift = TAG_BITS
@@ -293,31 +292,6 @@ def _insert_sorted(state: State, address: int, size: int) -> State:
     return state + ((address, size),)
 
 
-def _expand_shard(
-    payload: tuple[
-        int | None, int, int, tuple[int, ...],
-        tuple[tuple[int, int], ...],
-    ],
-) -> list[tuple[int, list[int]]]:
-    """Pool worker: candidate lists for one frontier shard.
-
-    Workers generate; the parent decides.  Everything returned is a
-    pure function of the node key and the game parameters, so the
-    merge is deterministic regardless of worker scheduling.
-    """
-    move_budget, heap_words, live_bound, sizes, nodes = payload
-    return [
-        (key, _node_candidates(key, alt, heap_words, live_bound, sizes,
-                               move_budget))
-        for key, alt in nodes
-    ]
-
-
-def _shard_of(key: int, shards: int) -> int:
-    """Deterministic shard of one canonical node key (Knuth mix)."""
-    return ((key >> TAG_BITS) * 2654435761 & 0xFFFFFFFF) % shards
-
-
 # ---------------------------------------------------------------------------
 # Per-solve results
 # ---------------------------------------------------------------------------
@@ -340,7 +314,6 @@ class SolveStats:
     winning_orbits: int = 0
     safe_orbits: int = 0
     wall_seconds: float = 0.0  # lint: float-ok - measurement, not budget
-    jobs: int = 1
 
     @property
     def peak_frontier(self) -> int:
@@ -363,7 +336,6 @@ class SolveStats:
             "winning_orbits": self.winning_orbits,
             "safe_orbits": self.safe_orbits,
             "wall_seconds": round(self.wall_seconds, 6),
-            "jobs": self.jobs,
         }
 
 
@@ -426,7 +398,6 @@ class GameSolver:
         power_of_two_sizes: bool = True,
         move_budget: int | None = None,
         use_tt: bool = True,
-        engine: "ParallelEngine | None" = None,
     ) -> None:
         if live_bound < 1:
             raise ValueError("live_bound must be at least 1")
@@ -446,7 +417,6 @@ class GameSolver:
         self.move_budget = move_budget
         self.sizes = request_sizes(max_object, power_of_two_sizes)
         self.use_tt = use_tt
-        self.engine = engine
         self._state_shift = (
             TAG_BITS if move_budget is None else TAG_BITS + BUDGET_BITS
         )
@@ -606,8 +576,7 @@ class GameSolver:
         seeds: list[int] = []
         frontier: list[int] = []
 
-        stats = SolveStats(heap_words=heap, program_wins=False,
-                           jobs=self._effective_jobs())
+        stats = SolveStats(heap_words=heap, program_wins=False)
         # Tables only fill at harvest, so within one solve the read
         # guard is stable; the first solve skips the lookups entirely.
         tt_read = tt_enabled and bool(safe_tt or win_tt)
@@ -658,20 +627,18 @@ class GameSolver:
         # counts stay consistent and verdicts are unaffected.
         #
         # Two exploration paths produce identical decisions: a fused
-        # generate-and-consume loop (serial base game — no candidate
-        # lists are materialized and truncation stops *generation*,
-        # not just consumption), and a two-phase path over
-        # :func:`_node_candidates` output used for parallel epochs and
-        # budgeted games.  ``raw_successors`` counts candidates
-        # actually generated, so it may legitimately differ across
-        # ``--jobs`` values (parallel workers over-generate truncated
-        # tails); verdicts, orbit and edge counts do not.
+        # generate-and-consume loop (base game — no candidate lists
+        # are materialized and truncation stops *generation*, not just
+        # consumption), and a two-phase path over
+        # :func:`_node_candidates` output (budgeted games).
+        # ``raw_successors`` counts candidates actually generated: the
+        # two-phase path generates a node's whole list before a
+        # truncation is seen, so it counts those tails too.
         index_get = index.get
         src_append = edge_src.append
         dst_append = edge_dst.append
         seeds_append = seeds.append
         raw_successors = 0
-        engine = self.engine
         fuse_serial = move_budget is None
         chunk_bits = SEGMENT_BITS
         addr_bits = ADDRESS_BITS
@@ -688,13 +655,12 @@ class GameSolver:
             frontier = []
             stats.epochs += 1
             stats.frontier_widths.append(len(current))
-            if (engine is not None and engine.jobs > 1
-                    and len(current) >= engine.jobs * 8) or not fuse_serial:
-                candidate_lists = self._expand_epoch(
-                    current, keys, alts, heap
-                )
-                for position, node in enumerate(current):
-                    candidates = candidate_lists[position]
+            if not fuse_serial:
+                for node in current:
+                    candidates = _node_candidates(
+                        keys[node], alts[node], heap, live_bound, sizes,
+                        move_budget,
+                    )
                     flat_length = len(candidates)
                     raw_successors += flat_length >> 1
                     if keys[node] & Q_FLAG:
@@ -757,7 +723,7 @@ class GameSolver:
                                 src_append(node)
                                 dst_append(child)
                 continue
-            # Fused serial path (base game).  Mirrors
+            # Fused path (base game).  Mirrors
             # :func:`_node_candidates` exactly — same chunk splices,
             # same order — with the consumption decisions inlined.
             # Chunks are non-zero, so the segment count falls out of
@@ -1012,50 +978,6 @@ class GameSolver:
             state_shift=shift,
             settled=settled,
         )
-
-    # -- internals ----------------------------------------------------------
-
-    def _effective_jobs(self) -> int:
-        return self.engine.jobs if self.engine is not None else 1
-
-    def _expand_epoch(
-        self,
-        current: list[int],
-        keys: list[int],
-        alts: list[int],
-        heap: int,
-    ) -> list[list[tuple[int, int]]]:
-        """Candidate lists for one frontier, in frontier order."""
-        engine = self.engine
-        if (engine is None or engine.jobs <= 1
-                or len(current) < engine.jobs * 8):
-            generate = _node_candidates
-            sizes = self.sizes
-            live_bound = self.live_bound
-            move_budget = self.move_budget
-            return [
-                generate(keys[node], alts[node], heap, live_bound, sizes,
-                         move_budget)
-                for node in current
-            ]
-        shard_count = min(engine.jobs * 4, len(current))
-        shards: list[list[tuple[int, int]]] = [
-            [] for _ in range(shard_count)
-        ]
-        for node in current:
-            key = keys[node]
-            shards[_shard_of(key, shard_count)].append((key, alts[node]))
-        payloads = [
-            (self.move_budget, heap, self.live_bound, self.sizes,
-             tuple(shard))
-            for shard in shards if shard
-        ]
-        produced = engine.map(_expand_shard, payloads)
-        by_key: dict[int, list[tuple[int, int]]] = {}
-        for shard_result in produced:
-            for key, candidates in shard_result:
-                by_key[key] = candidates
-        return [by_key[keys[node]] for node in current]
 
 
 def _record(

@@ -325,28 +325,24 @@ def solve_digest(task: SolveTask, value: int,
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def run_solve_task(task: SolveTask, jobs: int = 1,
+def run_solve_task(task: SolveTask, *,
                    search: str = "auto") -> SolveResult:
     """Execute one exact solve and package the cacheable result.
 
-    Runs in the parent process — the parallelism (``jobs > 1``) lives
-    *inside* the solver's frontier expansion, not across tasks.
+    Runs entirely in the calling process.  Worker processes do not pay
+    off here: a per-epoch pool spent more time pickling successor
+    candidates back than generating them, and doubled the solve's wall
+    time at every size measured.
     """
     import time
 
     from ..exact.solver import GameSolver
 
-    engine = None
-    if jobs > 1:
-        from .engine import ParallelEngine
-
-        engine = ParallelEngine(jobs=jobs)
     started = time.perf_counter()
     solver = GameSolver(
         task.live_bound, task.max_object,
         power_of_two_sizes=task.power_of_two_sizes,
         move_budget=task.move_budget,
-        engine=engine,
     )
     value = solver.minimum_heap_words(search=search)
     wall = time.perf_counter() - started

@@ -310,7 +310,6 @@ class StaticCheckConfig:
     #: they root the concurrency tier's worker-reachable scope.
     worker_map_functions: tuple[str, ...] = (
         "repro.staticcheck.runner._analyze_module_payload",
-        "repro.exact.solver._expand_shard",
     )
     #: Functions whose return value lands in the content-addressed
     #: ``ResultCache`` — every input they (transitively) consult must be
@@ -348,7 +347,6 @@ class StaticCheckConfig:
         "repro.parallel.engine.ParallelEngine.run",
         "repro.parallel.engine.ParallelEngine.map",
         "repro.parallel.engine.ParallelEngine._adopt_traces",
-        "repro.exact.solver.GameSolver._expand_epoch",
         "repro.staticcheck.runner._run_rules",
         "repro.analysis.sweep.simulation_sweep",
         "repro.analysis.experiments._engine_rows",

@@ -3,9 +3,11 @@
 The contract is byte-identical verdicts with :mod:`repro.exact.game`'s
 naive explorer on every previously solvable point, plus the scaling
 machinery itself: transposition-table reuse across heap sizes, the
-bracketed search, deterministic parallel frontier expansion, and the
-stats/report surface the benches and ``repro solve`` consume.
+bracketed search, single-process exploration at every ``--jobs``, and
+the stats/report surface the benches and ``repro solve`` consume.
 """
+
+import re
 
 import pytest
 
@@ -16,7 +18,6 @@ from repro.exact.solver import (
     formula_guess,
     solver_ceiling,
 )
-from repro.parallel.engine import ParallelEngine
 
 
 class TestConstruction:
@@ -130,18 +131,29 @@ class TestTranspositionTables:
         assert len(solver.history) == probes  # watermarks, no new solves
 
 
-class TestParallelDeterminism:
-    def test_jobs_do_not_change_anything_observable(self):
-        serial = GameSolver(6, 2)
-        parallel = GameSolver(6, 2, engine=ParallelEngine(jobs=2))
-        for heap in (7, 8):
-            left = serial.solve(heap)
-            right = parallel.solve(heap)
-            assert left.program_wins == right.program_wins
-            assert left.stats.orbits_visited == right.stats.orbits_visited
-            assert left.stats.edges == right.stats.edges
-            assert left.keys == right.keys
-            assert bytes(left.status) == bytes(right.status)
+class TestSingleProcess:
+    def test_jobs_flag_forks_nothing_and_changes_nothing(
+            self, monkeypatch, capsys):
+        from repro.cli import main
+
+        def without_timings(out):
+            return [re.sub(r" wall=\S+|, [0-9.]+s\]$", "", line)
+                    for line in out.splitlines()]
+
+        argv = ["solve", "--live", "6", "--object", "2", "--stats"]
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = without_timings(capsys.readouterr().out)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a solve must not start a process pool")
+
+        monkeypatch.setattr("repro.parallel.engine.ProcessPoolExecutor",
+                            no_pool)
+        assert main(argv + ["--jobs", "2"]) == 0
+        assert without_timings(capsys.readouterr().out) == serial
+        assert serial[0].endswith(": 8 words [solved")
+        assert serial[1].startswith("probes: ")
+        assert any(line.startswith("  H=") for line in serial)
 
 
 class TestReportSurface:

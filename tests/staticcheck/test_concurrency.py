@@ -8,12 +8,17 @@ resource use, and the env keyed/neutral declarations.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from textwrap import dedent
 
 from repro.staticcheck.base import Finding, StaticCheckConfig
 from repro.staticcheck.concurrency import effect_exempt_lines
 from repro.staticcheck.model import Program
-from repro.staticcheck.runner import run_on_program
+from repro.staticcheck.runner import (
+    iter_python_files,
+    repo_root,
+    run_on_program,
+)
 
 _CONCURRENCY_RULES = ["worker-shared-state", "fork-unsafe-resource",
                       "cache-key-completeness", "merge-order"]
@@ -242,3 +247,20 @@ def test_serial_and_parallel_runs_are_byte_identical():
     again = _run(files)
     assert [f.fingerprint for f in serial] == [f.fingerprint for f in again]
     assert len(serial) >= 3
+
+
+def test_every_configured_name_resolves_in_the_real_tree():
+    # The passes skip configured names that do not resolve, so a deleted
+    # or renamed function would silently switch its gate off.
+    root = repo_root()
+    program = Program.load(iter_python_files([root / "src"]), root)
+    config = StaticCheckConfig()
+    names = [(field.name, name) for field in fields(config)
+             if isinstance(getattr(config, field.name), tuple)
+             for name in getattr(config, field.name)
+             if isinstance(name, str) and name.startswith("repro.")]
+    assert len(names) >= 16
+    # resolve_symbol answers only with a program function or class.
+    unresolved = [(field_name, name) for field_name, name in names
+                  if program.resolve_symbol(name) is None]
+    assert unresolved == []

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -116,7 +118,7 @@ class TestMisc:
                 "--cache-dir", str(cache_dir)]
         assert main(argv) == 0
         cold = capsys.readouterr().out
-        assert "solved, jobs=" in cold
+        assert "[solved," in cold
         assert main(argv) == 0
         warm = capsys.readouterr().out
         assert "[cache," in warm
@@ -128,6 +130,20 @@ class TestMisc:
                      "--record", str(target)]) == 0
         assert "recorded:" in capsys.readouterr().out
         assert (target / "manifest.json").is_file()
+        manifest = json.loads((target / "manifest.json").read_text())
+        assert "jobs" not in manifest["config"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--live", "256", "--object", "16", "--grid", "10",
+         "--managers", "first-fit"],
+        ["solve", "--live", "4", "--object", "2"],
+        ["staticcheck", "--list-rules"],
+    ])
+    def test_negative_jobs_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--jobs", "-2"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_absolute(self, capsys):
         assert main(["absolute", "--budget", str(1 << 24)]) == 0
